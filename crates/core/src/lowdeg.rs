@@ -11,6 +11,9 @@
 //! [`run_theorem_1_1`] implements the paper's overall case split: the fast
 //! path when the degree bound holds, the §2.4 simulation otherwise.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+
 use cc_mis_graph::{Graph, GraphBuilder, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS};
 use cc_mis_sim::clique::CliqueEngine;
@@ -22,7 +25,7 @@ use cc_mis_sim::SharedObserver;
 use crate::cleanup::leader_cleanup;
 use crate::clique_mis::{CliqueMisExecution, CliqueMisParams};
 use crate::common::{check_node_vec_len, iterations_for_max_degree, MisOutcome};
-use crate::exponentiation::{gather_balls, GatherResult};
+use crate::exponentiation::{gather_balls, Ball, GatherResult};
 use crate::ghaffari16::evolve;
 
 /// Parameters for [`run_lowdeg`].
@@ -228,42 +231,29 @@ impl Execution for LowDegExecution<'_> {
                 // ball and reads off its own fate. Accurate for `radius`
                 // iterations because the ball covers the radius
                 // (Lemma 2.13-style induction, via `ghaffari16::evolve` on
-                // the ball subgraph with global coin ids).
+                // the ball subgraph with global coin ids). `evolve` is a
+                // pure function of the ball, the coins and the radius, so
+                // nodes with identical balls share one replay, and each
+                // member reads its fate at its own local index (DESIGN.md §7,
+                // "Ball-memoized replay"). `evolve` parallelizes internally.
                 self.engine.ledger_mut().begin_phase("replay");
                 let gather = self
                     .gather
                     .as_ref()
                     .expect("gather stage precedes the replay stage");
-                let radius = self.radius;
+                let radius = self.radius as u64;
                 let rng = self.rng;
-                for v in 0..n {
-                    let ball = &gather.balls[v];
-                    let mut nodes: Vec<u32> = ball
-                        .edges()
-                        .flat_map(|(a, b)| [a, b])
-                        .chain(std::iter::once(v as u32))
-                        .collect();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let local_of = |id: u32| nodes.binary_search(&id).expect("ball node");
-                    let mut builder = GraphBuilder::new(nodes.len());
-                    for (a, b) in ball.edges() {
-                        builder
-                            .add_edge(
-                                NodeId::new(local_of(a) as u32),
-                                NodeId::new(local_of(b) as u32),
-                            )
-                            .expect("ball edge is valid");
-                    }
-                    let ball_graph = builder.build();
-                    let coin_ids: Vec<NodeId> = nodes.iter().map(|&id| NodeId::new(id)).collect();
-                    let evo = evolve(&ball_graph, &coin_ids, rng, radius as u64);
-                    let me = local_of(v as u32);
-                    if evo.joined_at[me].is_some() {
-                        self.in_mis[v] = true;
-                        self.alive[v] = false;
-                    } else if evo.removed_at[me].is_some() {
-                        self.alive[v] = false;
+                for members in ball_groups(&gather.balls) {
+                    let fates = replay_ball(&gather.balls[members[0]], &members, rng, radius);
+                    for (&v, fate) in members.iter().zip(fates) {
+                        match fate {
+                            Fate::Joined => {
+                                self.in_mis[v] = true;
+                                self.alive[v] = false;
+                            }
+                            Fate::Removed => self.alive[v] = false,
+                            Fate::Undecided => {}
+                        }
                     }
                 }
                 self.stage = LowDegStage::Cleanup;
@@ -339,6 +329,90 @@ impl Execution for LowDegExecution<'_> {
         *self.engine.ledger_mut() = ledger;
         Ok(())
     }
+}
+
+/// A node's state after the local replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Joined the MIS within the replayed iterations.
+    Joined,
+    /// Removed by a joining neighbor.
+    Removed,
+    /// Still undecided; handed to the clean-up.
+    Undecided,
+}
+
+/// Groups nodes by identical gathered ball, each group in ascending node
+/// order and the groups ordered by their smallest member. An empty ball
+/// (an isolated node or a non-participant) stays a singleton group: its
+/// local node set is the node itself, not the ball's empty endpoint set.
+fn ball_groups(balls: &[Ball]) -> Vec<Vec<usize>> {
+    let mut group_of: BTreeMap<&[u64], usize> = BTreeMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (v, ball) in balls.iter().enumerate() {
+        if ball.is_empty() {
+            groups.push(vec![v]);
+            continue;
+        }
+        match group_of.entry(ball.keys()) {
+            Entry::Occupied(slot) => groups[*slot.get()].push(v),
+            Entry::Vacant(slot) => {
+                slot.insert(groups.len());
+                groups.push(vec![v]);
+            }
+        }
+    }
+    groups
+}
+
+/// Replays `iterations` of the Ghaffari'16 dynamic once on `ball`, the
+/// gathered ball every node of `members` shares, and returns each member's
+/// fate in member order. The local node set is the ball's endpoints (a
+/// node's ball holds its incident edges, so it contains the node), or the
+/// single member when the ball is empty.
+fn replay_ball(
+    ball: &Ball,
+    members: &[usize],
+    rng: SharedRandomness,
+    iterations: u64,
+) -> Vec<Fate> {
+    let mut nodes: Vec<u32> = if ball.is_empty() {
+        members.iter().map(|&v| v as u32).collect()
+    } else {
+        ball.edges().flat_map(|(a, b)| [a, b]).collect()
+    };
+    nodes.sort_unstable();
+    nodes.dedup();
+    let local_of = |id: u32| {
+        nodes
+            .binary_search(&id)
+            .expect("a node lies in its own ball")
+    };
+    let mut builder = GraphBuilder::new(nodes.len());
+    for (a, b) in ball.edges() {
+        builder
+            .add_edge(
+                NodeId::new(local_of(a) as u32),
+                NodeId::new(local_of(b) as u32),
+            )
+            .expect("ball edge is valid");
+    }
+    let ball_graph = builder.build();
+    let coin_ids: Vec<NodeId> = nodes.iter().map(|&id| NodeId::new(id)).collect();
+    let evo = evolve(&ball_graph, &coin_ids, rng, iterations);
+    members
+        .iter()
+        .map(|&v| {
+            let me = local_of(v as u32);
+            if evo.joined_at[me].is_some() {
+                Fate::Joined
+            } else if evo.removed_at[me].is_some() {
+                Fate::Removed
+            } else {
+                Fate::Undecided
+            }
+        })
+        .collect()
 }
 
 /// Which branch [`run_theorem_1_1`] took.
@@ -513,19 +587,134 @@ mod tests {
         }
     }
 
+    /// The per-node replay the grouped replay replaced: one ball graph and
+    /// one `evolve` per node. Returns `(in_mis, alive)`.
+    fn reference_replay(
+        gather: &GatherResult,
+        rng: SharedRandomness,
+        radius: u64,
+    ) -> (Vec<bool>, Vec<bool>) {
+        let n = gather.balls.len();
+        let mut in_mis = vec![false; n];
+        let mut alive = vec![true; n];
+        for v in 0..n {
+            let ball = &gather.balls[v];
+            let mut nodes: Vec<u32> = ball
+                .edges()
+                .flat_map(|(a, b)| [a, b])
+                .chain(std::iter::once(v as u32))
+                .collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let local_of = |id: u32| nodes.binary_search(&id).expect("ball node");
+            let mut builder = GraphBuilder::new(nodes.len());
+            for (a, b) in ball.edges() {
+                builder
+                    .add_edge(
+                        NodeId::new(local_of(a) as u32),
+                        NodeId::new(local_of(b) as u32),
+                    )
+                    .expect("ball edge is valid");
+            }
+            let ball_graph = builder.build();
+            let coin_ids: Vec<NodeId> = nodes.iter().map(|&id| NodeId::new(id)).collect();
+            let evo = evolve(&ball_graph, &coin_ids, rng, radius);
+            let me = local_of(v as u32);
+            if evo.joined_at[me].is_some() {
+                in_mis[v] = true;
+                alive[v] = false;
+            } else if evo.removed_at[me].is_some() {
+                alive[v] = false;
+            }
+        }
+        (in_mis, alive)
+    }
+
+    /// An execution stepped through Gather and Replay.
+    fn after_replay(g: &Graph, seed: u64) -> LowDegExecution<'_> {
+        let mut exec = LowDegExecution::new(g, &LowDegParams::default(), seed);
+        for _ in 0..2 {
+            assert!(matches!(exec.step(), Status::Running));
+        }
+        assert_eq!(exec.stage, LowDegStage::Cleanup);
+        exec
+    }
+
+    /// Disjoint union of a 4-regular graph on 40 nodes, a 60-cycle and 3
+    /// isolated nodes: one shared ball, many distinct ones, and empty ones.
+    fn components_graph() -> Graph {
+        let parts = [generators::random_regular(40, 4, 3), generators::cycle(60)];
+        let mut builder = GraphBuilder::new(40 + 60 + 3);
+        let mut offset = 0u32;
+        for part in &parts {
+            for (a, b) in part.edges() {
+                builder
+                    .add_edge(NodeId::new(offset + a.raw()), NodeId::new(offset + b.raw()))
+                    .expect("component edge is valid");
+            }
+            offset += part.node_count() as u32;
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn grouped_replay_matches_per_node_oracle() {
+        // (graph, distinct balls): every ball distinct, one shared ball, a
+        // mix with empty-ball singletons, and no edges at all.
+        let cases = [
+            (generators::cycle(200), 200),
+            (generators::random_regular(80, 4, 7), 1),
+            (components_graph(), 1 + 60 + 3),
+            (Graph::empty(9), 9),
+        ];
+        for (g, distinct) in &cases {
+            for seed in [1u64, 4] {
+                let exec = after_replay(g, seed);
+                let gather = exec.gather.as_ref().expect("gathered");
+                let groups = ball_groups(&gather.balls);
+                assert_eq!(groups.len(), *distinct, "groups: {g:?}");
+                for members in &groups {
+                    assert!(members.is_sorted());
+                    if gather.balls[members[0]].is_empty() {
+                        assert_eq!(members.len(), 1, "empty balls stay singletons");
+                    }
+                }
+                assert!(groups.is_sorted_by_key(|members| members[0]));
+                let (in_mis, alive) = reference_replay(gather, exec.rng, exec.radius as u64);
+                assert_eq!(exec.in_mis, in_mis, "in_mis: {g:?} seed {seed}");
+                assert_eq!(exec.alive, alive, "alive: {g:?} seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn local_replay_matches_global_evolution() {
         // Every node's locally-replayed fate must equal the global run's —
-        // the Lemma 2.13 induction for the Ghaffari'16 dynamic.
+        // the Lemma 2.13 induction for the Ghaffari'16 dynamic. Here every
+        // ball is the whole graph, so the replay state after the Replay
+        // step is exactly the global run's.
         let g = generators::random_regular(80, 4, 7);
         let seed = 3;
         let params = LowDegParams::default();
         let radius = iterations_for_max_degree(g.max_degree(), params.iteration_factor);
         let rng = SharedRandomness::new(seed);
         let global = global_evolve(&g, &g.nodes().collect::<Vec<_>>(), rng, radius);
-        let res = run_lowdeg(&g, &params, seed);
+        let exec = after_replay(&g, seed);
+        let gather = exec.gather.as_ref().expect("gathered");
+        assert!(
+            gather.balls.iter().all(|b| b.len() == g.edge_count()),
+            "precondition: every ball is the whole graph"
+        );
+        let joined: Vec<bool> = global.joined_at.iter().map(Option::is_some).collect();
+        let undecided: Vec<bool> = global.removed_at.iter().map(Option::is_none).collect();
+        assert_eq!(exec.in_mis, joined, "replay joiners differ from global");
+        assert_eq!(
+            exec.alive, undecided,
+            "replay undecided set differs from global"
+        );
         // Joiners of the main part are exactly the global joiners (cleanup
         // additions come from the residual, which is disjoint).
+        let res = run_lowdeg(&g, &params, seed);
         for v in global.mis() {
             assert!(res.mis.contains(&v), "global joiner {v} missing");
         }

@@ -10,12 +10,13 @@
 # BENCH_SAMPLES controls harness sample counts; SAMPLES (default 3) the
 # end-to-end repetitions.
 #
-# `bench.sh --check` is the regression gate: it reruns the engines and
-# batch-throughput benches into scratch files and fails if any
-# `clique_all_to_all_round` or `sharded_round_frames` median regresses
-# >25% against the pinned results/bench_engines.json, or any
+# `bench.sh --check` is the regression gate: it reruns the engines,
+# batch-throughput and MIS-algorithm benches into scratch files and fails
+# if any `clique_all_to_all_round` or `sharded_round_frames` median
+# regresses >25% against the pinned results/bench_engines.json, any
 # `batch_throughput` median regresses >25% against
-# results/bench_batch_throughput.json (see
+# results/bench_batch_throughput.json, or any `mis_algorithms` median
+# regresses >25% against results/bench_mis_algorithms.json (see
 # crates/bench/src/regress.rs). Opt into it from CI via BENCH_CHECK=1
 # scripts/tier1.sh.
 set -euo pipefail
@@ -28,7 +29,8 @@ if [ "${1:-}" = "--check" ]; then
   cargo build --release --workspace
   fresh="$(mktemp)"
   fresh_batch="$(mktemp)"
-  trap 'rm -f "$fresh" "$fresh_batch"' EXIT
+  fresh_mis="$(mktemp)"
+  trap 'rm -f "$fresh" "$fresh_batch" "$fresh_mis"' EXIT
   BENCH_JSON="$fresh" cargo bench -p cc-mis-bench --bench engines
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_engines.json "$fresh" clique_all_to_all_round 25
@@ -37,6 +39,9 @@ if [ "${1:-}" = "--check" ]; then
   BENCH_JSON="$fresh_batch" cargo bench -p cc-mis-bench --bench batch_throughput
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_batch_throughput.json "$fresh_batch" batch_throughput 25
+  BENCH_JSON="$fresh_mis" cargo bench -p cc-mis-bench --bench mis_algorithms
+  cargo run -q --release -p cc-mis-bench --bin bench_check -- \
+    results/bench_mis_algorithms.json "$fresh_mis" mis_algorithms 25
   exit 0
 fi
 

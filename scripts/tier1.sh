@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: offline build, the full test suite, a lint-clean tree, and a
-# conform-clean tree (cc-mis-conform, the in-tree model-invariant linter).
+# Tier-1 gate: offline build, the full test suite (the benchmark's too), a
+# lint-clean tree, and a conform-clean tree (cc-mis-conform, the in-tree
+# model-invariant linter).
 # Everything must pass before a change lands (see ROADMAP.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +10,10 @@ cargo fmt --all -- --check
 cargo build --workspace --all-targets
 cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark (perfbench/, a Cargo workspace of its own) tests that its
+# timing adapters leave outcomes, ledgers and trace bytes identical.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Conformance lint, archiving the SARIF log for CI annotation tooling.
 # Exit 3 means an error-severity finding (P1 broken pragma, R16 pool leak,
@@ -32,9 +37,9 @@ elif [ "$conform_status" != "0" ]; then
   exit "$conform_status"
 fi
 
-# Opt-in perf gate: BENCH_CHECK=1 reruns the engines bench and fails if any
-# clique_all_to_all_round median regresses >25% vs the pinned
-# results/bench_engines.json (kept opt-in: wall-clock gates are too noisy
+# Opt-in perf gate: BENCH_CHECK=1 reruns the engines, batch-throughput and
+# MIS-algorithm benches and fails if any gated median regresses >25% vs its
+# pinned results/bench_*.json (kept opt-in: wall-clock gates are too noisy
 # for shared CI runners, but useful before re-pinning).
 if [ "${BENCH_CHECK:-0}" = "1" ]; then
   scripts/bench.sh --check
