@@ -24,21 +24,31 @@
 //! Balls are stored *flat*: each edge `(a, b)` with `a < b` is packed into
 //! a single `u64` key (`a` in the high half), and a ball is a sorted,
 //! deduplicated `Vec<u64>` of keys. Sorted-key order coincides with the
-//! lexicographic pair order. Internally a gather works in *dense edge-id*
-//! space — id `i` is the `i`-th participant edge in key order, so
-//! id-sorted output is key-sorted output — and payloads ship as shared
-//! `Arc<[u32]>` id slices. Unions of received balls run in `O(total input
-//! ids)` against an L1-resident membership bitmap (no hashing anywhere on
-//! the union path), with an early stop once a ball holds every participant
-//! edge; [`kway_union`] is the sorted-merge reference the bitmap union
-//! must agree with. The round/bit accounting is unchanged: payload bits
-//! (`ball edges × record_bits`) and packet targets are computed exactly as
-//! before.
-
-use std::sync::Arc;
+//! lexicographic pair order. Internally a gather works in two dense id
+//! spaces: edge id `i` is the `i`-th participant edge in key order (so
+//! id-sorted output is key-sorted output), and local node `j` is the
+//! `j`-th endpoint of a participant edge in node order — the only nodes
+//! that ever hold, send or receive a ball, so the gather's per-step
+//! buffers are sized by them, not by `n`.
+//!
+//! Payloads ship *by reference*: a packet is a `Packet<()>` that names
+//! its source, because its payload — the sender's ball as of the start of
+//! the step — is exactly what the step's read-only ball table holds for
+//! that source. The balls are double-buffered: every receiver unions the
+//! start-of-step balls of its inbox's sources, and the grown balls replace
+//! them only once every union is done. Target sets (deduplicated against
+//! a bitmap over local nodes) and unions (test-and-set against a bitmap
+//! over edge ids, with an early stop once a ball holds every participant
+//! edge) run on [`par_map_nodes`] over contiguous node chunks, each chunk
+//! owning its bitmaps; [`kway_union`] is the sorted-merge reference the
+//! bitmap union must agree with. The round/bit accounting is unchanged:
+//! payload bits (`ball edges × record_bits`), packet targets and packet
+//! order are exactly those of a gather that copies every ball into its
+//! packets.
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
+use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::routing::{route, Packet};
 
 /// Packs an edge `(a, b)` into a single `u64` key (`a` in the high bits).
@@ -104,8 +114,8 @@ pub struct GatherResult {
 
 /// Union of sorted, deduplicated `u64` runs by divide-and-conquer k-way
 /// merge: `O(M log k)` for `M` total keys across `k` runs. The reference
-/// union for [`gather_balls`] (whose hot path uses an `O(M)` epoch-marked
-/// union over dense edge ids instead — see [`EdgeIndex`]).
+/// union for [`gather_balls`] (whose hot path uses an `O(M)` bitmap union
+/// over dense edge ids instead).
 pub fn kway_union(runs: &[&[u64]]) -> Vec<u64> {
     match runs.len() {
         0 => Vec::new(),
@@ -178,28 +188,48 @@ pub fn gather_balls(
 
     // Dense edge-id space over the participant-filtered edge set: id `i` is
     // the `i`-th edge in ascending packed-key order, so id-sorted vectors
-    // are key-sorted vectors. The whole gather — balls, payloads, unions —
-    // runs on `u32` ids; keys reappear only in the returned `Ball`s.
-    // `edges()` already iterates in ascending `(u, v)` order.
+    // are key-sorted vectors. `edges()` already iterates in ascending
+    // `(u, v)` order.
     let mut edge_keys: Vec<u64> = Vec::new();
-    let mut ends: Vec<(u32, u32)> = Vec::new();
-    let mut balls: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (u, v) in gather.edges() {
         if participant[u.index()] && participant[v.index()] {
-            let id = edge_keys.len() as u32;
             edge_keys.push(pack_edge(u.raw(), v.raw()));
-            ends.push((u.raw(), v.raw()));
-            // Radius-1 initialization: incident edges. Ids are appended in
-            // ascending order, so every ball starts sorted.
-            balls[u.index()].push(id);
-            balls[v.index()].push(id);
         }
     }
     debug_assert!(edge_keys.is_sorted());
     let m_part = edge_keys.len();
-    // Membership bitmap for the union below: one bit per participant edge,
-    // L1-resident for any gather this simulator can afford to run.
-    let mut seen: Vec<u64> = vec![0; m_part.div_ceil(64)];
+
+    // Dense node space over the endpoints of those edges — the only nodes
+    // that ever hold, send or receive a ball. Local ids ascend with node
+    // ids, so local-sorted target lists are node-sorted.
+    let mut local = vec![NO_BALL; n];
+    for &key in &edge_keys {
+        let (a, b) = unpack_edge(key);
+        local[a as usize] = 0;
+        local[b as usize] = 0;
+    }
+    let mut nodes: Vec<u32> = Vec::new();
+    for (v, slot) in local.iter_mut().enumerate() {
+        if *slot == 0 {
+            *slot = nodes.len() as u32;
+            nodes.push(v as u32);
+        }
+    }
+    let k = nodes.len();
+    let ends: Vec<(u32, u32)> = edge_keys
+        .iter()
+        .map(|&key| {
+            let (a, b) = unpack_edge(key);
+            (local[a as usize], local[b as usize])
+        })
+        .collect();
+    // Radius-1 initialization: incident edges. Ids are appended in
+    // ascending order, so every ball starts sorted.
+    let mut balls: Vec<Vec<u32>> = vec![Vec::new(); k];
+    for (id, &(a, b)) in ends.iter().enumerate() {
+        balls[a as usize].push(id as u32);
+        balls[b as usize].push(id as u32);
+    }
 
     let steps = if radius <= 1 {
         0
@@ -208,88 +238,90 @@ pub fn gather_balls(
     };
     let mut total_rounds = 0u64;
     let mut steps_run = 0u64;
-    let mut targets: Vec<u32> = Vec::new();
     for _ in 0..steps {
-        let mut packets: Vec<Packet<Arc<[u32]>>> = Vec::new();
-        for v in 0..n {
-            if !participant[v] || balls[v].is_empty() {
-                continue;
+        // Contiguous local-node chunks for the per-node phases, about one
+        // per `CHUNK_IDS` ball ids, so a small gather stays on the calling
+        // thread. Every node's result is a pure function of the step's
+        // balls and its inbox, so any split gives the same output.
+        let volume: usize = balls.iter().map(Vec::len).sum();
+        let chunk = k.div_ceil((volume / CHUNK_IDS).clamp(1, MAX_CHUNKS)).max(1);
+        let chunks = k.div_ceil(chunk);
+        let chunk_range = |c: usize| c * chunk..((c + 1) * chunk).min(k);
+
+        // Every node ships its ball to every other endpoint of its edges.
+        // The payload is the sender's ball as of the start of the step and
+        // `balls` does not change until the unions below are applied, so
+        // a packet only needs to name its source: receivers read the ball
+        // from `balls` directly.
+        let plans = par_map_nodes(chunks, |c| {
+            let mut mark = vec![0u64; k.div_ceil(64)];
+            let mut targets = Vec::new();
+            let mut counts = Vec::with_capacity(chunk);
+            for i in chunk_range(c) {
+                let start = targets.len();
+                ball_targets(&balls[i], &ends, i as u32, &mut mark, &mut targets);
+                counts.push((targets.len() - start) as u32);
             }
-            // One shared payload for every target of this node.
-            let payload: Arc<[u32]> = Arc::from(balls[v].as_slice());
-            let bits = payload.len() as u64 * record_bits;
-            targets.clear();
-            for &id in &balls[v] {
-                let (a, b) = ends[id as usize];
-                targets.push(a);
-                targets.push(b);
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            for &t in &targets {
-                if t != v as u32 {
-                    packets.push(Packet {
-                        src: NodeId::new(v as u32),
-                        dst: NodeId::new(t),
-                        bits,
-                        payload: Arc::clone(&payload),
-                    });
-                }
+            (targets, counts)
+        });
+        let total: usize = plans.iter().map(|(targets, _)| targets.len()).sum();
+        let mut packets: Vec<Packet<()>> = Vec::with_capacity(total);
+        for (c, (targets, counts)) in plans.iter().enumerate() {
+            let mut rest = targets.as_slice();
+            for (i, &count) in chunk_range(c).zip(counts) {
+                let (mine, tail) = rest.split_at(count as usize);
+                rest = tail;
+                let src = NodeId::new(nodes[i]);
+                let bits = balls[i].len() as u64 * record_bits;
+                packets.extend(mine.iter().map(|&t| Packet {
+                    src,
+                    dst: NodeId::new(nodes[t as usize]),
+                    bits,
+                    payload: (),
+                }));
             }
         }
+        drop(plans);
         let (inboxes, outcome) = route(engine, packets).expect("gather packets are well-formed");
         total_rounds += outcome.rounds;
         steps_run += 1;
-        let mut grew = false;
-        // The engine may be larger than the gather graph (it is padded to
-        // at least 2 nodes); ignore inboxes beyond the graph.
+
+        // A ball holding every edge of the gather graph can learn nothing
+        // more — skip the union entirely (a large wall-clock saving in the
+        // saturating step; the routing rounds were already charged, so
+        // accounting is unchanged).
         let full = gather.edge_count();
-        for (v, inbox) in inboxes.into_iter().enumerate().take(n) {
-            let before = balls[v].len();
-            // A ball holding every edge of the gather graph can learn
-            // nothing more — skip the union entirely (a large wall-clock
-            // saving in the saturating step; the routing rounds were
-            // already charged, so accounting is unchanged).
-            if before != full && !inbox.is_empty() {
-                for &id in &balls[v] {
-                    seen[(id >> 6) as usize] |= 1 << (id & 63);
+        // Workers return each chunk's grown balls as one flat id run; the
+        // per-node balls, which outlive the step, are allocated here on
+        // the calling thread, so no worker's allocator arena is left
+        // holding long-lived blocks (which raised peak RSS).
+        let grown = par_map_nodes(chunks, |c| {
+            let mut seen = vec![0u64; m_part.div_ceil(64)];
+            let mut ids = Vec::new();
+            let mut lens = Vec::new();
+            for i in chunk_range(c) {
+                let inbox = &inboxes[nodes[i] as usize];
+                if balls[i].len() == full || inbox.is_empty() {
+                    continue;
                 }
-                let mut count = before;
-                for packet in &inbox {
-                    // Saturated at the participant edge set: nothing left
-                    // to learn, skip the remaining payloads.
-                    if count == m_part {
-                        break;
-                    }
-                    for &id in packet.payload.iter() {
-                        let word = &mut seen[(id >> 6) as usize];
-                        let bit = 1u64 << (id & 63);
-                        if *word & bit == 0 {
-                            *word |= bit;
-                            count += 1;
-                        }
-                    }
-                }
-                if count != before {
-                    // A sequential scan of the bitmap emits the new ball
-                    // already id-sorted (hence key-sorted).
-                    let mut out = Vec::with_capacity(count);
-                    for (wi, &word) in seen.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            out.push((wi as u32) << 6 | bits.trailing_zeros());
-                            bits &= bits - 1;
-                        }
-                    }
-                    balls[v] = out;
-                }
-                // The final ball covers every set bit (payload ids that were
-                // already known included), so this clears the whole bitmap.
-                for &id in &balls[v] {
-                    seen[(id >> 6) as usize] = 0;
+                let sources = inbox.iter().map(|p| &balls[local[p.src.index()] as usize]);
+                let start = ids.len();
+                if union_into(&balls[i], sources, m_part, &mut seen, &mut ids) {
+                    lens.push((i, ids.len() - start));
                 }
             }
-            grew |= balls[v].len() != before;
+            (ids, lens)
+        });
+        drop(inboxes);
+        let mut grew = false;
+        for (ids, lens) in grown {
+            let mut rest = ids.as_slice();
+            for (i, len) in lens {
+                let (ball, tail) = rest.split_at(len);
+                balls[i] = ball.to_vec();
+                rest = tail;
+                grew = true;
+            }
         }
         // Saturation: once no ball grew, further doubling steps are no-ops
         // (each node already knows its entire component) — skip them.
@@ -299,17 +331,113 @@ pub fn gather_balls(
     }
 
     let max_ball_edges = balls.iter().map(Vec::len).max().unwrap_or(0);
+    let mut out = vec![Ball::default(); n];
+    for (ids, &v) in balls.into_iter().zip(&nodes) {
+        out[v as usize] = Ball {
+            keys: ids.into_iter().map(|id| edge_keys[id as usize]).collect(),
+        };
+    }
     GatherResult {
-        balls: balls
-            .into_iter()
-            .map(|ids| Ball {
-                keys: ids.into_iter().map(|id| edge_keys[id as usize]).collect(),
-            })
-            .collect(),
+        balls: out,
         steps: steps_run,
         rounds: total_rounds,
         max_ball_edges,
     }
+}
+
+/// `local` entry of a node that is no endpoint of a participant edge.
+const NO_BALL: u32 = u32::MAX;
+
+/// Upper bound on the chunks a per-node phase of [`gather_balls`] is split
+/// into (each chunk allocates its own bitmaps once per step).
+const MAX_CHUNKS: usize = 64;
+
+/// Ball ids per chunk below which a step does not split further.
+const CHUNK_IDS: usize = 1 << 15;
+
+/// Appends to `out`, in ascending order, every endpoint of an edge of
+/// `ball` other than `me` (all in local node ids). `mark` is an all-zero
+/// bitmap over local nodes on entry and on return.
+fn ball_targets(ball: &[u32], ends: &[(u32, u32)], me: u32, mark: &mut [u64], out: &mut Vec<u32>) {
+    let start = out.len();
+    for &id in ball {
+        let (a, b) = ends[id as usize];
+        for t in [a, b] {
+            let word = &mut mark[(t >> 6) as usize];
+            let bit = 1u64 << (t & 63);
+            if t != me && *word & bit == 0 {
+                *word |= bit;
+                out.push(t);
+            }
+        }
+    }
+    let found = out.len() - start;
+    if found >= mark.len() {
+        // Dense: one sequential scan emits the targets sorted and clears
+        // the bitmap.
+        out.truncate(start);
+        for (wi, word) in mark.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push((wi as u32) << 6 | bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    } else {
+        for &t in &out[start..] {
+            mark[(t >> 6) as usize] = 0;
+        }
+        out[start..].sort_unstable();
+    }
+}
+
+/// Appends to `out` the union of `ball` with every ball in `sources`, in
+/// ascending id order, and returns `true` — or appends nothing and returns
+/// `false` if the union adds nothing to `ball`. Runs in `O(total input
+/// ids)` against `seen`, an all-zero membership bitmap over the `m_part`
+/// edge ids on entry and on return, and stops reading sources once the
+/// union holds every edge.
+fn union_into<'a>(
+    ball: &[u32],
+    sources: impl Iterator<Item = &'a Vec<u32>>,
+    m_part: usize,
+    seen: &mut [u64],
+    out: &mut Vec<u32>,
+) -> bool {
+    for &id in ball {
+        seen[(id >> 6) as usize] |= 1 << (id & 63);
+    }
+    let mut count = ball.len();
+    for source in sources {
+        if count == m_part {
+            break;
+        }
+        for &id in source {
+            let word = &mut seen[(id >> 6) as usize];
+            let bit = 1u64 << (id & 63);
+            if *word & bit == 0 {
+                *word |= bit;
+                count += 1;
+            }
+        }
+    }
+    if count == ball.len() {
+        for &id in ball {
+            seen[(id >> 6) as usize] = 0;
+        }
+        return false;
+    }
+    // A sequential scan of the bitmap emits the new ball already id-sorted
+    // (hence key-sorted) and clears it.
+    out.reserve(count);
+    for (wi, word) in seen.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            out.push((wi as u32) << 6 | bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -414,7 +542,7 @@ mod tests {
     fn gathered_balls_are_exactly_power_of_two_bfs_balls() {
         // The doubling recursion gives exactly the radius-2^steps BFS ball
         // (edges whose closer endpoint is within 2^steps − 1). This pins
-        // the epoch-marked union against the BFS reference set-for-set —
+        // the bitmap union against the BFS reference set-for-set —
         // any over- or under-merge shows up here.
         for (g, radius) in [
             (generators::erdos_renyi_gnp(60, 0.06, 5), 4usize),
@@ -437,7 +565,7 @@ mod tests {
 
     #[test]
     fn marked_union_agrees_with_kway_reference() {
-        // The gather's epoch-marked union and the k-way sorted merge are
+        // The gather's bitmap union and the k-way sorted merge are
         // two implementations of the same set union; cross-check them on
         // the raw key level with overlapping runs.
         let runs: Vec<Vec<u64>> = vec![
@@ -593,6 +721,25 @@ mod tests {
         assert_eq!(engine.ledger().rounds, 0);
         // Radius-1 knowledge is the incident edges.
         assert_eq!(res.balls[0].len(), g.degree(NodeId::new(0)));
+    }
+
+    #[test]
+    fn saturating_gather_charges_are_pinned() {
+        // 4-regular, n = 256, radius 16: the balls saturate at the whole
+        // graph, so the last step routes every node's ball to every other
+        // node as one capacity-feasible batch (255 packets per source and
+        // per destination). Pinned at the charges of a gather that copies
+        // every ball into its packets and routes with first-fit batching.
+        let g = generators::random_regular(256, 4, 1);
+        let mut engine = engine_for(256);
+        let res = gather_balls(&mut engine, &g, &[true; 256], 16, 24);
+        let ledger = engine.ledger();
+        assert_eq!(
+            (ledger.rounds, ledger.messages, ledger.bits),
+            (516, 28_608_899, 915_108_624)
+        );
+        assert_eq!((res.rounds, res.steps, res.max_ball_edges), (516, 4, 512));
+        assert!(res.balls.iter().all(|b| b.len() == g.edge_count()));
     }
 
     #[test]

@@ -13,11 +13,13 @@ use cc_mis_core::beeping_mis::{run_beeping, run_beeping_to_completion, BeepingPa
 use cc_mis_core::clique_mis::{
     run_clique_mis, run_clique_mis_outcome, CliqueMisExecution, CliqueMisParams,
 };
+use cc_mis_core::exponentiation::gather_balls;
 use cc_mis_core::ghaffari16::{run_ghaffari16, run_ghaffari16_clique, Ghaffari16Params};
 use cc_mis_core::lowdeg::{run_lowdeg, run_theorem_1_1, LowDegParams};
 use cc_mis_core::luby::{run_luby, LubyParams};
 use cc_mis_core::sparsified::{run_sparsified_with_cleanup, SparsifiedParams};
-use cc_mis_graph::{generators, Graph, NodeId};
+use cc_mis_graph::{generators, ops, Graph, NodeId};
+use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{resume, snapshot};
@@ -97,6 +99,43 @@ fn multithreaded_runs_are_bit_identical_to_sequential() {
         assert_eq!(seq.mis, par.mis, "sparsified MIS diverged (seed {seed})");
         assert_eq!(seq.ledger, par.ledger);
         assert_eq!(seq.iterations, par.iterations);
+    }
+}
+
+/// The Lemma 2.14 gather computes target sets and unions over
+/// `par_map_nodes` chunks: balls and ledgers must not depend on the thread
+/// count, both for the saturating all-to-all gather (the last step is one
+/// routing batch from every node to every other) and for a gather whose
+/// participant mask leaves some nodes without a ball.
+#[test]
+fn gather_balls_is_thread_count_invariant() {
+    let _guard = lock();
+    let g = generators::random_regular(256, 4, 1);
+    let n = g.node_count();
+    let everyone = vec![true; n];
+    let mask: Vec<bool> = (0..n).map(|v| v % 5 != 0).collect();
+    let g_masked = ops::filter_vertices(&g, |v| mask[v.index()]);
+    for (name, graph, participant) in [("saturating", &g, &everyone), ("masked", &g_masked, &mask)]
+    {
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
+                let res = gather_balls(&mut engine, graph, participant, 16, 24);
+                let ledger = engine.ledger().clone();
+                (res.balls, res.steps, res.rounds, res.max_ball_edges, ledger)
+            })
+        };
+        let base = run(1);
+        assert!(
+            base.0.iter().any(|b| !b.is_empty()),
+            "{name}: nothing gathered"
+        );
+        for threads in [2usize, 7] {
+            assert!(
+                run(threads) == base,
+                "{name} gather diverged at {threads} threads"
+            );
+        }
     }
 }
 

@@ -61,7 +61,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = thread_count().min(n.max(1));
+    // A single index runs on the caller without resolving the thread count
+    // (which can mean an environment read and a cgroup probe).
+    if n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let threads = thread_count().min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }

@@ -11,12 +11,15 @@
 # end-to-end repetitions.
 #
 # `bench.sh --check` is the regression gate: it reruns the engines,
-# batch-throughput and MIS-algorithm benches into scratch files and fails
-# if any `clique_all_to_all_round` or `sharded_round_frames` median
-# regresses >25% against the pinned results/bench_engines.json, any
-# `batch_throughput` median regresses >25% against
-# results/bench_batch_throughput.json, or any `mis_algorithms` median
-# regresses >25% against results/bench_mis_algorithms.json (see
+# batch-throughput, MIS-algorithm, exponentiation and routing benches into
+# scratch files and fails if any `clique_all_to_all_round` or
+# `sharded_round_frames` median regresses >25% against the pinned
+# results/bench_engines.json, any `batch_throughput` median regresses >25%
+# against results/bench_batch_throughput.json, any `mis_algorithms` median
+# regresses >25% against results/bench_mis_algorithms.json, any
+# `gather_balls` median regresses >25% against
+# results/bench_exponentiation.json, or any `lenzen_routing` median
+# regresses >25% against results/bench_routing.json (see
 # crates/bench/src/regress.rs). Opt into it from CI via BENCH_CHECK=1
 # scripts/tier1.sh.
 set -euo pipefail
@@ -30,7 +33,9 @@ if [ "${1:-}" = "--check" ]; then
   fresh="$(mktemp)"
   fresh_batch="$(mktemp)"
   fresh_mis="$(mktemp)"
-  trap 'rm -f "$fresh" "$fresh_batch" "$fresh_mis"' EXIT
+  fresh_exp="$(mktemp)"
+  fresh_routing="$(mktemp)"
+  trap 'rm -f "$fresh" "$fresh_batch" "$fresh_mis" "$fresh_exp" "$fresh_routing"' EXIT
   BENCH_JSON="$fresh" cargo bench -p cc-mis-bench --bench engines
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_engines.json "$fresh" clique_all_to_all_round 25
@@ -42,12 +47,18 @@ if [ "${1:-}" = "--check" ]; then
   BENCH_JSON="$fresh_mis" cargo bench -p cc-mis-bench --bench mis_algorithms
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_mis_algorithms.json "$fresh_mis" mis_algorithms 25
+  BENCH_JSON="$fresh_exp" cargo bench -p cc-mis-bench --bench exponentiation
+  cargo run -q --release -p cc-mis-bench --bin bench_check -- \
+    results/bench_exponentiation.json "$fresh_exp" gather_balls 25
+  BENCH_JSON="$fresh_routing" cargo bench -p cc-mis-bench --bench routing
+  cargo run -q --release -p cc-mis-bench --bin bench_check -- \
+    results/bench_routing.json "$fresh_routing" lenzen_routing 25
   exit 0
 fi
 
 cargo build --release --workspace
 
-for bench in engines mis_algorithms batch_throughput; do
+for bench in engines mis_algorithms batch_throughput exponentiation routing; do
   out="results/bench_${bench}.json"
   : > "$out"
   # Absolute path: cargo runs bench binaries from the crate directory.
