@@ -333,8 +333,7 @@ pub(crate) fn fn_param_names(fs: &FileSyntax, f: &FnSpan) -> Vec<String> {
 // R16 — pool take/retire obligation pairing
 // ---------------------------------------------------------------------------
 
-const TAKE_PAIRS: [(&str, &str); 5] = [
-    ("take_dense", "retire_dense"),
+const TAKE_PAIRS: [(&str, &str); 4] = [
     ("take_sparse", "retire_sparse"),
     ("take_outbox", "retire_outbox"),
     ("take_arena_parts", "retire"),

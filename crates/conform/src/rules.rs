@@ -223,7 +223,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "pooled buffers are paired: every `RoundBuffers::take_*` / \
                   `take_arena_parts` is retired (or moved out) on every exit path",
         contract: "in crates/core and crates/sim non-test code, a binding holding the \
-                   result of `take_dense` / `take_sparse` / `take_outbox` / \
+                   result of `take_sparse` / `take_outbox` / `take_frame` / \
                    `take_arena_parts` is passed to the matching `retire_*` (or `retire`), \
                    returned, stored into a struct/field, before any early `return` or \
                    `?` exit and before the function ends",

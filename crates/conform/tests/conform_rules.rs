@@ -227,7 +227,7 @@ fn r16_pool_take_without_retire() {
     assert_eq!(r16.len(), 2, "{firing:?}");
     assert!(
         r16.iter()
-            .any(|f| f.message.contains("never retired") && f.message.contains("take_dense")),
+            .any(|f| f.message.contains("never retired") && f.message.contains("take_sparse")),
         "{firing:?}"
     );
     assert!(

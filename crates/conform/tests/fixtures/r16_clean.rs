@@ -9,12 +9,12 @@ pub struct Demo {
 impl Demo {
     /// Take, use, retire — the balanced shape R16 demands.
     pub fn balanced_sum(&mut self, n: usize) -> u64 {
-        let scratch = self.buffers.take_dense(n * n);
+        let scratch = self.buffers.take_sparse();
         let mut total = 0u64;
-        for v in scratch.iter() {
+        for v in scratch.iter().take(n) {
             total = total.wrapping_add(*v);
         }
-        self.buffers.retire_dense(scratch);
+        self.buffers.retire_sparse(scratch);
         total
     }
 

@@ -7,11 +7,11 @@ pub struct Demo {
 }
 
 impl Demo {
-    /// Takes a dense buffer and lets it drop: the pool never sees it again.
+    /// Takes the pair log and lets it drop: the pool never sees it again.
     pub fn leaky_sum(&mut self, n: usize) -> u64 {
-        let scratch = self.buffers.take_dense(n * n);
+        let scratch = self.buffers.take_sparse();
         let mut total = 0u64;
-        for v in scratch.iter() {
+        for v in scratch.iter().take(n) {
             total = total.wrapping_add(*v);
         }
         total

@@ -164,7 +164,7 @@ mod tests {
             .expect("send fits the per-pair budget");
         r.send(NodeId::new(2), NodeId::new(3), 8, 2)
             .expect("send fits the per-pair budget");
-        // Out of key order: the dense per-pair load word must still hold
+        // Out of key order: the pair ledger's probe table must still hold
         // the earlier (0, 1) tally.
         r.send(NodeId::new(0), NodeId::new(1), 8, 3)
             .expect("send fits the per-pair budget");

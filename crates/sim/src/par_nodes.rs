@@ -21,9 +21,12 @@
 //! 2. the `CC_MIS_THREADS` environment variable, read through
 //!    [`crate::config::env_threads`] (`1` is the escape hatch that forces
 //!    sequential execution);
-//! 3. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`], resolved once per process
+//!    (it can mean a cgroup probe) — the override and the environment
+//!    variable stay live on every call.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// In-process thread-count override; `0` means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -39,14 +42,16 @@ pub fn set_thread_override(threads: Option<usize>) {
 
 /// The effective worker-thread count: the in-process override if set, else
 /// `CC_MIS_THREADS` (values `< 1` or unparsable fall back to 1), else the
-/// machine's available parallelism.
+/// machine's available parallelism (cached after the first lookup).
 pub fn thread_count() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
     let ov = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if ov >= 1 {
         return ov;
     }
-    crate::config::env_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    crate::config::env_threads().unwrap_or_else(|| {
+        *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 /// Maps `f` over `0..n` on a scoped worker pool, returning results in index

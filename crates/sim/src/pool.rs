@@ -6,11 +6,11 @@
 //! instead, from two pools:
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
-//!   the outbox arena, the per-destination count/offset/cursor tables, the
-//!   dense per-pair load array, and the sparse [`PairBits`] log across
-//!   rounds. After the first round of a steady-state loop, opening and
-//!   closing a round performs no heap allocation (the way
-//!   `drive_with_checkpoints` already recycles its encode buffer).
+//!   the outbox arena, the per-destination count/offset/cursor tables and
+//!   the [`PairBits`] per-pair load log across rounds. After the first
+//!   round of a steady-state loop, opening and closing a round performs no
+//!   heap allocation (the way `drive_with_checkpoints` already recycles
+//!   its encode buffer).
 //! * [`ArenaPool`] — shared (behind `Arc<Mutex<..>>`) between the core and
 //!   the [`crate::runtime::Inboxes`] values `deliver` returns, so inbox
 //!   storage flows back to the engine when the algorithm drops a round's
@@ -21,53 +21,19 @@
 //! reclaimed by downcast — all in safe Rust (`M: Send + 'static`).
 
 use std::any::Any;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cc_mis_graph::NodeId;
 
 use crate::bits::idx_u32;
 
-/// Default largest node count for which the clique transport uses the dense
-/// per-pair `u64` load array (`n²` words; 2048 ⇒ 32 MiB). Beyond this the
-/// round falls back to the sparse [`PairBits`] path, which scales with the
-/// number of *distinct* pairs actually used.
-///
-/// The effective cutoff is [`dense_pair_max`]; both accounting paths charge
-/// identical per-pair totals (pinned by the boundary test below), so the
-/// cutoff is purely a space/time trade, never a semantics knob.
-pub const DENSE_PAIR_MAX_DEFAULT: usize = 2048;
-
-/// In-process cutoff override; `0` means "not set".
-static DENSE_PAIR_MAX_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the dense-pair cutoff for subsequent rounds in this process,
-/// taking precedence over `CC_MIS_DENSE_PAIR_MAX`. `None` clears the
-/// override. Because the dense and sparse paths account identically, this
-/// changes memory use only, never results.
-pub fn set_dense_pair_max_override(max_nodes: Option<usize>) {
-    DENSE_PAIR_MAX_OVERRIDE.store(max_nodes.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The effective dense-pair cutoff: the in-process override if set (values
-/// ≥ 1), else `CC_MIS_DENSE_PAIR_MAX` (unparsable values fall back to the
-/// default; `0` forces the sparse path for every graph), else
-/// [`DENSE_PAIR_MAX_DEFAULT`].
-pub fn dense_pair_max() -> usize {
-    let ov = DENSE_PAIR_MAX_OVERRIDE.load(Ordering::Relaxed);
-    if ov >= 1 {
-        return ov;
-    }
-    crate::config::env_dense_pair_max().unwrap_or(DENSE_PAIR_MAX_DEFAULT)
-}
-
 /// How many retired type-erased buffers each pool retains. Two is enough
 /// for every in-tree pattern (at most one live `Inboxes` per engine plus
 /// one in flight); the cap bounds memory when many message types alternate.
 const POOL_RETAIN: usize = 2;
 
-/// Map from packed `(src, dst)` keys to cumulative bits, used for per-round
-/// budget enforcement on transports without a dense pair domain (CONGEST).
+/// Map from packed `(src, dst)` keys to cumulative bits: the one per-round
+/// pair ledger behind every transport's budget enforcement.
 ///
 /// Every round loop in the codebase enqueues messages with non-decreasing
 /// packed keys (sources ascend, each source's destinations ascend), so in the
@@ -180,6 +146,13 @@ impl PairBits {
         self.log.iter().map(|&(_, used)| used).max().unwrap_or(0)
     }
 
+    /// Whether the probe table has been built (the round left the
+    /// key-monotone append path).
+    #[cfg(test)]
+    pub(crate) fn indexed(&self) -> bool {
+        !self.keys.is_empty()
+    }
+
     /// Forgets this round's pairs but keeps all capacity, returning to the
     /// monotone (table-free) fast path.
     pub(crate) fn clear(&mut self) {
@@ -202,11 +175,8 @@ pub(crate) struct RoundBuffers {
     pub(crate) dst_cuts: Vec<usize>,
     /// Arena-position shard boundaries (parallel delivery).
     pub(crate) arena_cuts: Vec<usize>,
-    /// Dense per-pair load array. Invariant: all-zero between rounds (the
-    /// round scrubs the entries it touched before retiring it).
-    dense: Vec<u64>,
-    /// Sparse per-pair load log, cleared (capacity kept) between rounds.
-    sparse: PairBits,
+    /// Per-pair load log, cleared (capacity kept) between rounds.
+    pair_bits: PairBits,
     /// Retired outboxes (`Vec<(NodeId, NodeId, M)>`), type-erased.
     outboxes: Vec<Box<dyn Any + Send>>,
     /// Retired frame byte buffers for the sharded transport (round
@@ -223,30 +193,15 @@ pub(crate) struct RoundBuffers {
 const FRAME_RETAIN: usize = 4;
 
 impl RoundBuffers {
-    /// A dense load array of exactly `len` all-zero words.
-    pub(crate) fn take_dense(&mut self, len: usize) -> Vec<u64> {
-        let mut dense = std::mem::take(&mut self.dense);
-        if dense.len() != len {
-            dense.clear();
-            dense.resize(len, 0);
-        }
-        dense
-    }
-
-    /// Returns a dense array whose touched entries the caller has zeroed.
-    pub(crate) fn retire_dense(&mut self, dense: Vec<u64>) {
-        self.dense = dense;
-    }
-
-    /// The pooled sparse pair log (already cleared).
+    /// The pooled pair log (already cleared).
     pub(crate) fn take_sparse(&mut self) -> PairBits {
-        std::mem::take(&mut self.sparse)
+        std::mem::take(&mut self.pair_bits)
     }
 
-    /// Returns the sparse pair log, clearing it but keeping capacity.
-    pub(crate) fn retire_sparse(&mut self, mut sparse: PairBits) {
-        sparse.clear();
-        self.sparse = sparse;
+    /// Returns the pair log, clearing it but keeping capacity.
+    pub(crate) fn retire_sparse(&mut self, mut pair_bits: PairBits) {
+        pair_bits.clear();
+        self.pair_bits = pair_bits;
     }
 
     /// A recycled (empty) outbox for message type `M`, if one was retired.
@@ -387,18 +342,6 @@ mod tests {
         assert_eq!(pb.peak(), 0);
         assert!(pb.log.capacity() >= log_cap.min(100));
         assert_eq!(*pb.entry_or_zero(7), 0);
-    }
-
-    #[test]
-    fn dense_pool_round_trips_zeroed() {
-        let mut b = RoundBuffers::default();
-        let mut d = b.take_dense(16);
-        assert!(d.iter().all(|&w| w == 0));
-        d[3] = 99;
-        d[3] = 0; // caller scrubs before retiring
-        b.retire_dense(d);
-        let d2 = b.take_dense(16);
-        assert!(d2.iter().all(|&w| w == 0));
     }
 
     #[test]

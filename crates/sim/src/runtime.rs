@@ -19,11 +19,11 @@
 //! * [`Round`] — one open synchronous round, generic over the transport
 //!   and the message type. Its `send`/`deliver` hot paths are
 //!   allocation-free (conformance rule R15): per-pair budget loads live in
-//!   a dense `u64` array for the clique transport (word-level pair
-//!   accounting) or the sparse pooled `PairBits` log for CONGEST, ledger
-//!   charges are batched locally and flushed once per round, and delivery
-//!   is a stable src-major counting scatter into a pooled arena — no
-//!   per-inbox sort, no per-inbox allocation.
+//!   the pooled `PairBits` log (one pair ledger for every transport, sized
+//!   by the pairs a round uses), ledger charges are batched locally and
+//!   flushed once per round, and delivery is a stable src-major counting
+//!   scatter into a pooled arena — no per-inbox sort, no per-inbox
+//!   allocation.
 //! * [`Inboxes`] — the flat delivered-messages arena `deliver` returns,
 //!   indexable per node as a slice; its storage flows back to the engine's
 //!   pool on drop.
@@ -89,15 +89,6 @@ pub trait Transport {
 
     /// Checks whether `src -> dst` may carry a message in this model.
     fn check_link(&self, src: NodeId, dst: NodeId) -> Result<(), BandwidthError>;
-
-    /// `Some(n)` when every admissible pair fits the dense `n * n` load
-    /// array (word-level pair accounting); `None` keeps the sparse
-    /// `PairBits` path. Dense transports with huge `n` are still clamped
-    /// to sparse by [`pool::dense_pair_max`] (default
-    /// [`pool::DENSE_PAIR_MAX_DEFAULT`], env `CC_MIS_DENSE_PAIR_MAX`).
-    fn dense_pair_domain(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Transport of the congested clique: every ordered pair of distinct,
@@ -121,10 +112,6 @@ impl Transport for CliqueTransport {
             });
         }
         Ok(())
-    }
-
-    fn dense_pair_domain(&self) -> Option<usize> {
-        Some(self.n)
     }
 }
 
@@ -346,23 +333,6 @@ impl RoundCore {
     }
 }
 
-/// Per-round per-ordered-pair cumulative bit loads: a flat `u64` word per
-/// pair when the transport's pair domain is dense (clique), the pooled
-/// sparse log otherwise (CONGEST, whose pair set is the edge set).
-#[derive(Debug)]
-enum PairLoads {
-    /// `loads[src.index() * n + dst.index()]` — one word per ordered pair.
-    Dense { loads: Vec<u64>, n: usize },
-    /// Monotone log with lazy probe-table fallback (see [`PairBits`]).
-    Sparse(PairBits),
-}
-
-impl Default for PairLoads {
-    fn default() -> Self {
-        PairLoads::Sparse(PairBits::default())
-    }
-}
-
 /// Minimum outbox size for the sharded (parallel) delivery path: below
 /// this the scoped-pool spawn overhead exceeds the scatter itself.
 const PAR_DELIVER_MIN_MESSAGES: usize = 1 << 13;
@@ -375,7 +345,8 @@ pub struct Round<'a, T, M: Send + 'static> {
     core: &'a mut RoundCore,
     transport: T,
     outbox: Vec<(NodeId, NodeId, M)>,
-    loads: PairLoads,
+    /// Cumulative bits per ordered pair this round (the pooled pair log).
+    loads: PairBits,
     /// Per-destination message counts, maintained incrementally by `send`
     /// (the table is node-count sized and cache-resident, so counting at
     /// send time is cheaper than re-reading the whole outbox at close).
@@ -401,13 +372,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     pub(crate) fn begin(core: &'a mut RoundCore, transport: T) -> Self {
         let start_messages = core.ledger.messages;
         let start_bits = core.ledger.bits;
-        let loads = match transport.dense_pair_domain() {
-            Some(n) if n <= pool::dense_pair_max() => PairLoads::Dense {
-                loads: core.buffers.take_dense(n * n),
-                n,
-            },
-            _ => PairLoads::Sparse(core.buffers.take_sparse()),
-        };
+        let loads = core.buffers.take_sparse();
         let outbox = core.buffers.take_outbox::<M>();
         let mut counts = mem::take(&mut core.buffers.counts);
         pool::reset_zeroed(&mut counts, transport.node_count());
@@ -446,10 +411,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         msg: M,
     ) -> Result<(), BandwidthError> {
         self.transport.check_link(src, dst)?;
-        let used = match &mut self.loads {
-            PairLoads::Dense { loads, n } => &mut loads[src.index() * *n + dst.index()],
-            PairLoads::Sparse(pair_bits) => pair_bits.entry_or_zero(pair_key(src.raw(), dst.raw())),
-        };
+        let used = self.loads.entry_or_zero(pair_key(src.raw(), dst.raw()));
         let attempted = *used + bits;
         if attempted > self.core.bandwidth {
             match self.core.enforcement {
@@ -481,19 +443,15 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         self.outbox.len()
     }
 
-    /// Observer-only diagnostics: peak per-pair load (word-at-a-time scan
-    /// over the dense array; loads are monotone so final values are peaks)
-    /// and the inbox-size histogram. Allocation happens only here, only
-    /// when observing — `deliver` itself stays allocation-free (R15).
+    /// Observer-only diagnostics: peak per-pair load (one pass over the
+    /// pairs this round used; loads are monotone so final values are
+    /// peaks) and the inbox-size histogram. Allocation happens only here,
+    /// only when observing — `deliver` itself stays allocation-free (R15).
     fn observer_stats(&self, counts: &[u32]) -> (u64, Vec<(usize, usize)>) {
         if !self.core.observing() {
             return (0, Vec::new());
         }
-        let max = match &self.loads {
-            PairLoads::Dense { loads, .. } => loads.iter().copied().max().unwrap_or(0),
-            PairLoads::Sparse(pair_bits) => pair_bits.peak(),
-        };
-        (max, inbox_histogram(counts))
+        (self.loads.peak(), inbox_histogram(counts))
     }
 
     /// Closes the round: advances the clock and returns, for each node, the
@@ -517,25 +475,9 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         let sharded = threads > 1 && m >= PAR_DELIVER_MIN_MESSAGES && n > 0;
         let shards = if sharded { threads.min(m) } else { 1 };
 
-        // Observer-only diagnostics, read before the loads are scrubbed.
+        // Observer-only diagnostics, read before the loads are retired.
         let (max_pair_load, histogram) = self.observer_stats(&counts);
-
-        // Scrub the dense load array back to all-zero (the pool invariant)
-        // and retire the loads. Small rounds scrub per touched pair; big
-        // rounds memset the whole array.
-        match mem::take(&mut self.loads) {
-            PairLoads::Dense { mut loads, n } => {
-                if m * 4 >= loads.len() {
-                    loads.fill(0);
-                } else {
-                    for &(src, dst, _) in &outbox {
-                        loads[src.index() * n + dst.index()] = 0;
-                    }
-                }
-                self.core.buffers.retire_dense(loads);
-            }
-            PairLoads::Sparse(pair_bits) => self.core.buffers.retire_sparse(pair_bits),
-        }
+        self.core.buffers.retire_sparse(mem::take(&mut self.loads));
 
         // Pass 2 — prefix offsets, then the stable src-major counting
         // scatter into the pooled arena.
@@ -677,23 +619,15 @@ impl<T, M: Send + 'static> Round<'_, T, M> {
 impl<T, M: Send + 'static> Drop for Round<'_, T, M> {
     /// Drop glue for a round discarded without [`Round::deliver`]: flush
     /// the batched charges (sent messages tally as attempts, exactly as
-    /// per-send charging did), scrub the dense loads back to all-zero, and
-    /// retire every pooled buffer. After `deliver` this is a no-op.
+    /// per-send charging did) and retire every pooled buffer. After
+    /// `deliver` this is a no-op.
     fn drop(&mut self) {
         if self.finished {
             return;
         }
         self.flush_charges();
         self.core.buffers.counts = mem::take(&mut self.counts);
-        match mem::take(&mut self.loads) {
-            PairLoads::Dense { mut loads, n } => {
-                for &(src, dst, _) in &self.outbox {
-                    loads[src.index() * n + dst.index()] = 0;
-                }
-                self.core.buffers.retire_dense(loads);
-            }
-            PairLoads::Sparse(pair_bits) => self.core.buffers.retire_sparse(pair_bits),
-        }
+        self.core.buffers.retire_sparse(mem::take(&mut self.loads));
         let outbox = mem::take(&mut self.outbox);
         self.core.buffers.retire_outbox(outbox);
     }
@@ -938,46 +872,125 @@ mod tests {
         assert_eq!(core.ledger().bits, 8);
     }
 
-    /// Satellite pin: at the dense cutoff boundary the dense `n * n` array
-    /// and the sparse `PairBits` log charge identical ledgers, emit
-    /// identical observer events (including `max_pair_load`), and reject
-    /// the same over-budget send — the cutoff is a space/time trade only.
+    /// One round's `(src, dst, bits)` sends.
+    type Sends = [(u32, u32, u64)];
+
+    /// What one observed clique round reports: per-send results,
+    /// `(messages, bits, violations)`, `max_pair_load` and
+    /// `inbox_histogram`.
+    type PairReport = (
+        Vec<Result<(), BandwidthError>>,
+        (u64, u64, u64),
+        u64,
+        Vec<(usize, usize)>,
+    );
+
+    /// Runs `sends` as one observed clique round; also returns whether the
+    /// pair ledger built its probe table.
+    fn pair_round(n: usize, enforcement: Enforcement, sends: &Sends) -> (PairReport, bool) {
+        let recorder = shared_recorder();
+        let mut core = RoundCore::new(32, enforcement);
+        core.attach_observer(recorder.clone());
+        let mut round: Round<'_, CliqueTransport, u64> =
+            Round::begin(&mut core, CliqueTransport { n });
+        let results = sends
+            .iter()
+            .map(|&(src, dst, b)| round.send(NodeId::new(src), NodeId::new(dst), b, b))
+            .collect();
+        let indexed = round.loads.indexed();
+        round.deliver();
+        let (l, e) = (core.ledger(), recorder.borrow().events[0].clone());
+        assert_eq!((l.rounds, e.violations), (1, l.violations));
+        let totals = (l.messages, l.bits, l.violations);
+        (
+            (results, totals, e.max_pair_load, e.inbox_histogram),
+            indexed,
+        )
+    }
+
+    /// The same report from a `BTreeMap<(src, dst), bits>` reference ledger
+    /// with the 32-bit pair budget.
+    fn pair_oracle(n: usize, enforcement: Enforcement, sends: &Sends) -> PairReport {
+        let mut used = std::collections::BTreeMap::new();
+        let mut inbox = vec![0usize; n];
+        let (mut results, mut totals) = (Vec::new(), (0, 0, 0));
+        for &(src, dst, b) in sends {
+            let load = used.entry((src, dst)).or_insert(0u64);
+            let attempted = *load + b;
+            let over = attempted > 32;
+            if over && enforcement == Enforcement::Strict {
+                results.push(Err(exceeded(src, dst, attempted)));
+                continue;
+            }
+            *load = attempted;
+            totals = (totals.0 + 1, totals.1 + b, totals.2 + u64::from(over));
+            inbox[dst as usize] += 1;
+            results.push(Ok(()));
+        }
+        let mut sizes = std::collections::BTreeMap::new();
+        for size in inbox {
+            *sizes.entry(size).or_insert(0) += 1;
+        }
+        let peak = used.values().copied().max().unwrap_or(0);
+        (results, totals, peak, sizes.into_iter().collect())
+    }
+
+    fn exceeded(src: u32, dst: u32, attempted: u64) -> BandwidthError {
+        let budget = 32;
+        BandwidthError::Exceeded {
+            src,
+            dst,
+            attempted,
+            budget,
+        }
+    }
+
+    /// Pinned example: 24 + 8 bits exactly fill a 32-bit pair budget, one
+    /// more bit is refused, and a fresh pair starts with a full budget.
     #[test]
-    fn dense_and_sparse_pair_accounting_agree_at_the_boundary() {
-        let n = 6usize;
-        let run = |cutoff: usize| {
-            crate::pool::set_dense_pair_max_override(Some(cutoff));
-            let recorder = shared_recorder();
-            let mut core = RoundCore::new(32, Enforcement::Strict);
-            core.ledger_mut().begin_phase("boundary");
-            core.attach_observer(recorder.clone());
-            let mut round: Round<'_, CliqueTransport, u8> =
-                Round::begin(&mut core, CliqueTransport { n });
-            round
-                .send(NodeId::new(0), NodeId::new(1), 24, 1)
-                .expect("first send fits the 32-bit pair budget");
-            round
-                .send(NodeId::new(0), NodeId::new(1), 8, 2)
-                .expect("second send exactly fills the pair budget");
-            let over = round
-                .send(NodeId::new(0), NodeId::new(1), 1, 3)
-                .expect_err("third send exceeds the pair budget")
-                .to_string();
-            round
-                .send(NodeId::new(3), NodeId::new(2), 16, 4)
-                .expect("fresh pair has a full budget");
-            round.deliver();
-            crate::pool::set_dense_pair_max_override(None);
-            let events = recorder.borrow().events.clone();
-            (events, core.ledger().clone(), over)
-        };
-        // cutoff = n keeps the dense array; cutoff = n - 1 forces sparse.
-        let dense = run(n);
-        let sparse = run(n - 1);
-        assert_eq!(dense, sparse);
-        assert_eq!(dense.0[0].max_pair_load, 32);
-        assert_eq!(dense.1.messages, 3);
-        assert_eq!(dense.1.bits, 48);
+    fn pair_budget_fills_exactly_then_refuses() {
+        let sends = [(0, 1, 24), (0, 1, 8), (0, 1, 1), (3, 2, 16)];
+        let results = vec![Ok(()), Ok(()), Err(exceeded(0, 1, 33)), Ok(())];
+        let want = (results, (3, 48, 0), 32, vec![(0, 4), (1, 1), (2, 1)]);
+        assert_eq!(pair_round(6, Enforcement::Strict, &sends).0, want);
+        assert_eq!(pair_oracle(6, Enforcement::Strict, &sends), want);
+    }
+
+    /// The pair ledger against the reference on seeded random clique
+    /// rounds, in key-monotone send order (the append-only path) and in
+    /// shuffled order (the lazily built probe table), strict and audit.
+    #[test]
+    fn pair_ledger_matches_btreemap_oracle() {
+        let key = |&(src, dst, _): &(u32, u32, u64)| pair_key(src, dst);
+        let out_of_order = |sends: &Sends| sends.windows(2).any(|w| key(&w[1]) < key(&w[0]));
+        for n in [2usize, 6, 64] {
+            for seed in 0..8u64 {
+                let mut rng = cc_mis_graph::rng::SplitMix64::new(seed * 1000 + n as u64);
+                // Destinations near the source so pairs repeat and budgets
+                // overflow; messages of 1..=20 bits against 32.
+                let span = (n as u64 - 1).min(4);
+                let mut sends: Vec<(u32, u32, u64)> = (0..3 * n)
+                    .map(|_| {
+                        let src = rng.next_below(n as u64);
+                        let dst = (src + 1 + rng.next_below(span)) % n as u64;
+                        (src as u32, dst as u32, 1 + rng.next_below(20))
+                    })
+                    .collect();
+                // Stable: sends on one pair keep their relative order.
+                sends.sort_by_key(key);
+                let monotone = sends.clone();
+                rng.shuffle(&mut sends);
+                assert!(n == 2 || out_of_order(&sends), "n={n} seed={seed}");
+                for order in [&monotone, &sends] {
+                    for enforcement in [Enforcement::Strict, Enforcement::Audit] {
+                        let (got, indexed) = pair_round(n, enforcement, order);
+                        let case = format!("n={n} seed={seed} {enforcement:?}");
+                        assert_eq!(indexed, out_of_order(order), "{case}");
+                        assert_eq!(got, pair_oracle(n, enforcement, order), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1003,13 +1016,11 @@ mod tests {
         assert!(clique.check_link(NodeId::new(0), NodeId::new(2)).is_ok());
         assert!(clique.check_link(NodeId::new(1), NodeId::new(1)).is_err());
         assert!(clique.check_link(NodeId::new(0), NodeId::new(7)).is_err());
-        assert_eq!(clique.dense_pair_domain(), Some(3));
 
         let g = cc_mis_graph::generators::path(3);
         let congest = CongestTransport { graph: &g };
         assert!(congest.check_link(NodeId::new(0), NodeId::new(1)).is_ok());
         assert!(congest.check_link(NodeId::new(0), NodeId::new(2)).is_err());
-        assert_eq!(congest.dense_pair_domain(), None);
     }
 
     #[test]
